@@ -153,6 +153,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 			return nil, err
 		}
 	}
+	t.compile()
 	return t, nil
 }
 

@@ -1,7 +1,8 @@
 // Package bgp models the routing-table substrate of the reproduction: BGP
-// network prefixes with attributes, a binary radix (Patricia) trie for
-// longest-prefix match, a text table format, and a synthetic table
-// generator calibrated to the prefix-length mix of a 2001 Tier-1 table.
+// network prefixes with attributes, longest-prefix match by binary search
+// over a compiled table of disjoint address ranges, a text table format,
+// and a synthetic table generator calibrated to the prefix-length mix of a
+// 2001 Tier-1 table.
 //
 // The paper defines a "flow" as the traffic destined to one BGP routing
 // table entry; every packet on the link is attributed to a prefix by
@@ -10,11 +11,16 @@ package bgp
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Tier classifies the origin AS of a route for the paper's "elephants
@@ -66,11 +72,16 @@ type Route struct {
 
 // Table is an immutable-after-build BGP routing table with longest-prefix
 // match. The zero value is an empty table; call Insert to populate it and
-// do not mutate it concurrently with lookups.
+// do not mutate it concurrently with lookups. Concurrent lookups are safe.
 type Table struct {
-	v4     trieNode
 	routes []Route
 	byPfx  map[netip.Prefix]int // index into routes
+
+	// v4 is the compiled IPv4 lookup table, nil until the first Lookup
+	// (or ReadText/Generate) after the last Insert; mu serialises the
+	// compile so concurrent first lookups build it once.
+	v4 atomic.Pointer[rangeTable]
+	mu sync.Mutex
 }
 
 // NewTable returns an empty table.
@@ -93,15 +104,16 @@ func (t *Table) Insert(r Route) error {
 		return fmt.Errorf("bgp: invalid prefix %v", r.Prefix)
 	}
 	r.Prefix = r.Prefix.Masked()
+	if t.byPfx == nil {
+		t.byPfx = make(map[netip.Prefix]int)
+	}
 	if i, ok := t.byPfx[r.Prefix]; ok {
 		t.routes[i] = r
 	} else {
 		t.byPfx[r.Prefix] = len(t.routes)
 		t.routes = append(t.routes, r)
 	}
-	if r.Prefix.Addr().Is4() {
-		t.v4.insert(v4bits(r.Prefix.Addr()), r.Prefix.Bits(), t.byPfx[r.Prefix])
-	}
+	t.v4.Store(nil)
 	return nil
 }
 
@@ -112,8 +124,12 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 		if addr.Is4In6() {
 			addr = addr.Unmap()
 		}
-		idx, ok := t.v4.lookup(v4bits(addr))
-		if !ok {
+		rt := t.v4.Load()
+		if rt == nil {
+			rt = t.compile()
+		}
+		idx := rt.lookup(v4bits(addr))
+		if idx < 0 {
 			return Route{}, false
 		}
 		return t.routes[idx], true
@@ -129,6 +145,19 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 		}
 	}
 	return Route{}, false
+}
+
+// compile returns the table's compiled IPv4 ranges, building and
+// publishing them first if an Insert has dropped them.
+func (t *Table) compile() *rangeTable {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rt := t.v4.Load(); rt != nil {
+		return rt
+	}
+	rt := compileRanges(t.routes)
+	t.v4.Store(rt)
+	return rt
 }
 
 // PrefixLengthHistogram returns a 33-element histogram of IPv4 prefix
@@ -148,42 +177,111 @@ func v4bits(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// trieNode is a node of a binary trie over IPv4 address bits. A fixed
-// two-way branch per bit keeps the implementation simple and fast enough
-// for table sizes in the 10^5 range; route indices mark terminal entries.
-type trieNode struct {
-	child [2]*trieNode
-	route int // index+1 into routes; 0 = no route here
+// rangeTable is the compiled form of a table's IPv4 routes: the address
+// space 0…2³²−1 cut into disjoint ranges, each carrying the index of its
+// longest matching route (−1 where none covers it). starts holds the
+// sorted first address of every range; starts[0] is always 0, so the
+// range holding a is the last one whose start is ≤ a. first[h] is the
+// range holding h<<16, the first address of /16 block h, and
+// first[65536] is the last range, so the range holding any address in
+// block h lies in first[h]…first[h+1] and a lookup binary-searches only
+// the few ranges that cut that block. Its arrays hold no pointers: at 60k
+// routes they are about 1.2 MB that the garbage collector never scans.
+type rangeTable struct {
+	starts []uint32
+	route  []int32
+	first  [1<<16 + 1]uint32
 }
 
-func (n *trieNode) insert(bits uint32, plen int, idx int) {
-	cur := n
-	for i := 0; i < plen; i++ {
-		b := bits >> (31 - i) & 1
-		if cur.child[b] == nil {
-			cur.child[b] = &trieNode{}
+func (rt *rangeTable) lookup(a uint32) int32 {
+	lo, hi := rt.first[a>>16], rt.first[a>>16+1]
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if rt.starts[mid] <= a {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
-		cur = cur.child[b]
 	}
-	cur.route = idx + 1
+	return rt.route[lo]
 }
 
-func (n *trieNode) lookup(bits uint32) (int, bool) {
-	best := 0
-	cur := n
-	for i := 0; i < 32 && cur != nil; i++ {
-		if cur.route != 0 {
-			best = cur.route
+// compileRanges builds the range table for the IPv4 routes in routes.
+// Sorted by first address, then by length (last address descending),
+// prefixes arrive nested inside the ones still open on the stack; each
+// prefix opens a range where it starts, and when it closes the
+// innermost prefix still open resumes after its last address.
+func compileRanges(routes []Route) *rangeTable {
+	type span struct {
+		lo, hi uint32 // first and last address
+		idx    int32
+	}
+	spans := make([]span, 0, len(routes))
+	for i, r := range routes {
+		if !r.Prefix.Addr().Is4() {
+			continue
 		}
-		cur = cur.child[bits>>(31-i)&1]
+		lo := v4bits(r.Prefix.Addr())
+		spans = append(spans, span{lo, lo | uint32(uint64(1)<<(32-r.Prefix.Bits())-1), int32(i)})
 	}
-	if cur != nil && cur.route != 0 {
-		best = cur.route
+	slices.SortFunc(spans, func(a, b span) int {
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.hi, a.hi)
+	})
+
+	rt := &rangeTable{
+		starts: make([]uint32, 0, 2*len(spans)+1),
+		route:  make([]int32, 0, 2*len(spans)+1),
 	}
-	if best == 0 {
-		return 0, false
+	// emit starts a range at start routed to idx. A range starting where
+	// the previous one did replaces it, and one routed like the previous
+	// range extends that range instead.
+	emit := func(start uint32, idx int32) {
+		if n := len(rt.starts); n > 0 && rt.starts[n-1] == start {
+			rt.starts, rt.route = rt.starts[:n-1], rt.route[:n-1]
+		}
+		if n := len(rt.route); n > 0 && rt.route[n-1] == idx {
+			return
+		}
+		rt.starts = append(rt.starts, start)
+		rt.route = append(rt.route, idx)
 	}
-	return best - 1, true
+	var open []span
+	// closeTo pops every open prefix that ends before addr, resuming the
+	// enclosing route after each one; closeTo(1<<32) pops them all.
+	closeTo := func(addr uint64) {
+		for n := len(open); n > 0 && uint64(open[n-1].hi) < addr; n = len(open) {
+			end := open[n-1].hi
+			open = open[:n-1]
+			if end == ^uint32(0) {
+				continue
+			}
+			outer := int32(-1)
+			if len(open) > 0 {
+				outer = open[len(open)-1].idx
+			}
+			emit(end+1, outer)
+		}
+	}
+	emit(0, -1)
+	for _, s := range spans {
+		closeTo(uint64(s.lo))
+		emit(s.lo, s.idx)
+		open = append(open, s)
+	}
+	closeTo(1 << 32)
+
+	r := 0
+	for h := range rt.first[:1<<16] {
+		for r+1 < len(rt.starts) && rt.starts[r+1] <= uint32(h)<<16 {
+			r++
+		}
+		rt.first[h] = uint32(r)
+	}
+	rt.first[1<<16] = uint32(len(rt.starts) - 1)
+	return rt
 }
 
 // WriteText serializes the table in the package's text format:
@@ -221,11 +319,11 @@ func ReadText(r io.Reader) (*Table, error) {
 		}
 		route := Route{Prefix: p}
 		if len(fields) > 1 {
-			var as uint32
-			if _, err := fmt.Sscanf(fields[1], "%d", &as); err != nil {
+			as, err := strconv.ParseUint(fields[1], 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("bgp: line %d: bad origin AS %q", line, fields[1])
 			}
-			route.OriginAS = as
+			route.OriginAS = uint32(as)
 		}
 		if len(fields) > 2 {
 			tier, err := ParseTier(fields[2])
@@ -241,6 +339,7 @@ func ReadText(r io.Reader) (*Table, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("bgp: reading table: %w", err)
 	}
+	t.compile()
 	return t, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -115,8 +116,86 @@ func TestInsertInvalidPrefix(t *testing.T) {
 	}
 }
 
-// TestLookupAgainstLinearScan cross-checks the trie against a brute-force
-// longest-prefix match over random tables and probes.
+// linearLookup is the reference longest-prefix match: a scan over every
+// route, keeping the longest one that contains addr.
+func linearLookup(routes []Route, addr netip.Addr) (Route, bool) {
+	best := -1
+	for i, r := range routes {
+		if r.Prefix.Contains(addr) && (best < 0 || r.Prefix.Bits() > routes[best].Prefix.Bits()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Route{}, false
+	}
+	return routes[best], true
+}
+
+// checkLookup fails t unless tab.Lookup(addr) equals the linear scan.
+func checkLookup(t *testing.T, tab *Table, addr netip.Addr) {
+	t.Helper()
+	got, gotOK := tab.Lookup(addr)
+	want, wantOK := linearLookup(tab.Routes(), addr)
+	if gotOK != wantOK || got != want {
+		t.Fatalf("Lookup(%v) = %+v ok=%v, linear scan = %+v ok=%v", addr, got, gotOK, want, wantOK)
+	}
+}
+
+// u32Addr converts a 32-bit value to its IPv4 address.
+func u32Addr(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+}
+
+// checkCompiled verifies the layout invariants of tab's compiled ranges:
+// starts begin at 0 and strictly increase, neighbouring ranges carry
+// different routes, and first[h] is the range holding h<<16.
+func checkCompiled(t *testing.T, tab *Table) {
+	t.Helper()
+	tab.Lookup(u32Addr(0))
+	rt := tab.v4.Load()
+	if len(rt.starts) == 0 || rt.starts[0] != 0 || len(rt.route) != len(rt.starts) {
+		t.Fatalf("compiled table: %d starts, %d routes, or first start is not 0", len(rt.starts), len(rt.route))
+	}
+	for i := 1; i < len(rt.starts); i++ {
+		if rt.starts[i] <= rt.starts[i-1] || rt.route[i] == rt.route[i-1] {
+			t.Fatalf("ranges %d,%d: starts %d,%d routes %d,%d", i-1, i,
+				rt.starts[i-1], rt.starts[i], rt.route[i-1], rt.route[i])
+		}
+	}
+	for h := 0; h < 1<<16; h++ {
+		r, a := rt.first[h], uint32(h)<<16
+		if rt.starts[r] > a || (int(r)+1 < len(rt.starts) && rt.starts[r+1] <= a) {
+			t.Fatalf("first[%d] = %d does not hold %v", h, r, u32Addr(a))
+		}
+	}
+	if int(rt.first[1<<16]) != len(rt.starts)-1 {
+		t.Fatalf("first[65536] = %d, want %d", rt.first[1<<16], len(rt.starts)-1)
+	}
+}
+
+// checkRouteEdges checks the compiled layout, then probes, for every
+// IPv4 route, its first and last address and the addresses just outside
+// it, plus both ends of the address space, against the linear scan.
+func checkRouteEdges(t *testing.T, tab *Table) {
+	t.Helper()
+	checkCompiled(t, tab)
+	checkLookup(t, tab, u32Addr(0))
+	checkLookup(t, tab, u32Addr(^uint32(0)))
+	for _, r := range tab.Routes() {
+		if !r.Prefix.Addr().Is4() {
+			continue
+		}
+		first := v4bits(r.Prefix.Addr())
+		last := first | uint32(uint64(1)<<(32-r.Prefix.Bits())-1)
+		for _, a := range []uint32{first, last, first - 1, last + 1} {
+			checkLookup(t, tab, u32Addr(a))
+		}
+	}
+}
+
+// TestLookupAgainstLinearScan cross-checks Lookup against a brute-force
+// longest-prefix match over a generated table, at random probes and at
+// the edges of every route.
 func TestLookupAgainstLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	tab, err := Generate(GenConfig{Routes: 2000, Seed: 30})
@@ -124,18 +203,6 @@ func TestLookupAgainstLinearScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes := tab.Routes()
-	linear := func(addr netip.Addr) (Route, bool) {
-		best := -1
-		for i, r := range routes {
-			if r.Prefix.Contains(addr) && (best < 0 || r.Prefix.Bits() > routes[best].Prefix.Bits()) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return Route{}, false
-		}
-		return routes[best], true
-	}
 	for i := 0; i < 3000; i++ {
 		var addr netip.Addr
 		if i%2 == 0 {
@@ -146,13 +213,143 @@ func TestLookupAgainstLinearScan(t *testing.T) {
 			rng.Read(b[:])
 			addr = netip.AddrFrom4(b)
 		}
-		got, gotOK := tab.Lookup(addr)
-		want, wantOK := linear(addr)
-		if gotOK != wantOK {
-			t.Fatalf("Lookup(%v): ok=%v, linear ok=%v", addr, gotOK, wantOK)
+		checkLookup(t, tab, addr)
+	}
+	checkRouteEdges(t, tab)
+}
+
+// TestLookupRangeEdges pins the compiled table on hand-built shapes:
+// default and host routes, nested chains, adjacent siblings and routes
+// touching either end of the address space.
+func TestLookupRangeEdges(t *testing.T) {
+	cases := map[string][]string{
+		"empty":          nil,
+		"default only":   {"0.0.0.0/0"},
+		"host routes":    {"0.0.0.0/32", "255.255.255.255/32", "10.0.0.1/32"},
+		"nested chain":   {"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32"},
+		"chain at start": {"0.0.0.0/0", "0.0.0.0/8", "0.0.0.0/16", "0.0.0.0/24", "0.0.0.0/32"},
+		"chain at end":   {"255.0.0.0/8", "255.255.0.0/16", "255.255.255.0/24", "255.255.255.255/32"},
+		"siblings":       {"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/23", "10.0.4.0/22"},
+		"nested siblings": {
+			"0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/9", "10.128.0.0/9",
+			"10.128.0.0/10", "10.192.0.0/10", "10.255.255.254/31",
+		},
+		"straddles /16": {"10.0.0.0/15", "10.0.255.0/24", "10.1.0.0/24"},
+	}
+	for name, prefixes := range cases {
+		t.Run(name, func(t *testing.T) {
+			tab := NewTable()
+			for i, p := range prefixes {
+				mustInsert(t, tab, p, uint32(i+1), Tier1)
+			}
+			checkRouteEdges(t, tab)
+		})
+	}
+}
+
+// TestInsertAfterLookup: an Insert on a table that has already compiled
+// its lookup structure must be visible to the next Lookup, whether it
+// replaces a route or adds a more specific one.
+func TestInsertAfterLookup(t *testing.T) {
+	tab := NewTable()
+	mustInsert(t, tab, "10.0.0.0/8", 1, Tier1)
+	checkRouteEdges(t, tab)
+	mustInsert(t, tab, "10.0.0.0/8", 2, Tier2)
+	checkRouteEdges(t, tab)
+	if r, _ := tab.Lookup(netip.MustParseAddr("10.9.9.9")); r.OriginAS != 2 {
+		t.Errorf("replaced route: AS%d, want AS2", r.OriginAS)
+	}
+	mustInsert(t, tab, "10.9.0.0/16", 3, Tier3)
+	checkRouteEdges(t, tab)
+	if r, _ := tab.Lookup(netip.MustParseAddr("10.9.9.9")); r.OriginAS != 3 {
+		t.Errorf("more specific route: AS%d, want AS3", r.OriginAS)
+	}
+
+	// The same holds for tables built by ReadText and Generate, which
+	// compile before they return.
+	gen, err := Generate(GenConfig{Routes: 300, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := gen.Routes()[0]
+	mustInsert(t, gen, r0.Prefix.String(), 7, Tier1)
+	if bits := r0.Prefix.Bits(); bits < 32 {
+		sub, _ := r0.Prefix.Addr().Prefix(bits + 1)
+		mustInsert(t, gen, sub.String(), 8, Tier2)
+	}
+	checkRouteEdges(t, gen)
+}
+
+// TestZeroValueTable: the documented zero value is an empty table that
+// accepts Insert.
+func TestZeroValueTable(t *testing.T) {
+	var tab Table
+	if _, ok := tab.Lookup(netip.MustParseAddr("10.0.0.1")); ok {
+		t.Error("lookup in zero-value table succeeded")
+	}
+	mustInsert(t, &tab, "10.0.0.0/8", 1, Tier1)
+	mustInsert(t, &tab, "2001:db8::/32", 2, Tier1)
+	if r, ok := tab.Lookup(netip.MustParseAddr("10.0.0.1")); !ok || r.OriginAS != 1 {
+		t.Errorf("IPv4 lookup after Insert: %+v ok=%v", r, ok)
+	}
+	if r, ok := tab.Lookup(netip.MustParseAddr("2001:db8::1")); !ok || r.OriginAS != 2 {
+		t.Errorf("IPv6 lookup after Insert: %+v ok=%v", r, ok)
+	}
+}
+
+// TestConcurrentFirstLookup: the first lookups on a freshly populated
+// table race to compile it; all must agree with the linear scan (run
+// under -race).
+func TestConcurrentFirstLookup(t *testing.T) {
+	src, err := Generate(GenConfig{Routes: 500, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable()
+	for _, r := range src.Routes() {
+		if err := tab.Insert(r); err != nil {
+			t.Fatal(err)
 		}
-		if gotOK && got.Prefix != want.Prefix {
-			t.Fatalf("Lookup(%v) = %v, linear = %v", addr, got.Prefix, want.Prefix)
+	}
+	const workers = 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			<-start
+			for i := 0; i < 200; i++ {
+				addr := RandomAddrInPrefix(rng, tab.Routes()[rng.Intn(tab.Len())].Prefix)
+				got, gotOK := tab.Lookup(addr)
+				want, wantOK := linearLookup(tab.Routes(), addr)
+				if gotOK != wantOK || got != want {
+					t.Errorf("Lookup(%v) = %+v ok=%v, linear scan = %+v ok=%v", addr, got, gotOK, want, wantOK)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestLookupAllocs pins the hot-path contract: a lookup on a built table
+// allocates nothing, for hits, misses and 4-in-6 addresses.
+func TestLookupAllocs(t *testing.T) {
+	tab, err := Generate(GenConfig{Routes: 1000, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []netip.Addr{
+		RandomAddrInPrefix(rand.New(rand.NewSource(1)), tab.Routes()[0].Prefix),
+		netip.MustParseAddr("10.0.0.1"), // reserved: never generated
+		netip.MustParseAddr("::ffff:10.0.0.1"),
+	}
+	for _, a := range addrs {
+		if n := testing.AllocsPerRun(100, func() { tab.Lookup(a) }); n != 0 {
+			t.Errorf("Lookup(%v) allocates %v per call, want 0", a, n)
 		}
 	}
 }
@@ -216,6 +413,9 @@ func TestReadTextErrors(t *testing.T) {
 	cases := map[string]string{
 		"bad prefix": "not-a-prefix 1 tier1",
 		"bad AS":     "10.0.0.0/8 xyz tier1",
+		"AS suffix":  "10.0.0.0/8 12abc tier1",
+		"AS hex":     "10.0.0.0/8 0x10 tier1",
+		"AS range":   "10.0.0.0/8 4294967296 tier1",
 		"bad tier":   "10.0.0.0/8 1 tier9",
 	}
 	for name, in := range cases {

@@ -90,6 +90,19 @@ func TestCollectorUnroutedAndOutOfRange(t *testing.T) {
 	}
 }
 
+// TestAttributeAllocs: attribution is on every ingest path's per-record
+// loop and must not allocate, routed or not.
+func TestAttributeAllocs(t *testing.T) {
+	tab := collectTable(t)
+	h := anchoredHeader(1)
+	for _, dst := range []string{"10.1.1.1", "8.8.8.8"} {
+		r := Record{SrcAddr: aIP, DstAddr: netip.MustParseAddr(dst), Octets: 1200, First: 30000, Last: 150000}
+		if n := testing.AllocsPerRun(100, func() { Attribute(tab, h, r) }); n != 0 {
+			t.Errorf("Attribute(dst %s) allocates %v per call, want 0", dst, n)
+		}
+	}
+}
+
 // TestNetflowPathMatchesPcapPath: the flow-record ingest path must
 // reconstruct (approximately) the same per-prefix interval bandwidths as
 // direct packet aggregation — the property that lets an operator deploy

@@ -168,35 +168,58 @@ func TestRegistryPanics(t *testing.T) {
 }
 
 // TestRegistryConcurrentRenderAndRegister: scrapes racing link
-// registration must not tear (run under -race).
+// registration must not tear (run under -race). The work is fixed: a few
+// registrars add a fixed set of links while a fixed number of renders run.
+// Render 0 runs while every registrar is parked halfway, so at least one
+// page is rendered with registrations in flight; the registrars' second
+// halves then race the remaining renders. Every page is linted.
 func TestRegistryConcurrentRenderAndRegister(t *testing.T) {
+	const registrars, perRegistrar, renders = 4, 24, 20
 	r := NewRegistry()
 	NewLinkMetrics(r, "seed@0", 1, DefaultStageBounds())
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	var wg, halfway sync.WaitGroup
+	rendering := make(chan struct{})
+	wg.Add(registrars)
+	halfway.Add(registrars)
+	for g := 0; g < registrars; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perRegistrar; i++ {
+				if i == perRegistrar/2 {
+					halfway.Done()
+					<-rendering
+				}
+				NewLinkMetrics(r, fmt.Sprintf("link%d-%d@0", g, i), 1, DefaultStageBounds())
 			}
-			NewLinkMetrics(r, fmt.Sprintf("link%d@0", i), 1, DefaultStageBounds())
-		}
-	}()
-	for i := 0; i < 50; i++ {
+		}(g)
+	}
+	render := func(i int) string {
 		var buf bytes.Buffer
 		m := report.NewMetricsWriter(&buf)
 		r.Render(m)
 		if err := m.Err(); err != nil {
 			t.Errorf("render %d: %v", i, err)
 		}
-		if err := report.LintExposition(&buf); err != nil {
+		page := buf.String()
+		if err := report.LintExposition(strings.NewReader(page)); err != nil {
 			t.Errorf("render %d failed lint: %v", i, err)
 		}
+		return page
 	}
-	close(stop)
+	halfway.Wait()
+	for i := 0; i < renders; i++ {
+		render(i)
+		if i == 0 {
+			close(rendering)
+		}
+	}
 	wg.Wait()
+	page := render(renders)
+	for g := 0; g < registrars; g++ {
+		for i := 0; i < perRegistrar; i++ {
+			if lbl := fmt.Sprintf(`link="link%d-%d@0"`, g, i); !strings.Contains(page, lbl) {
+				t.Fatalf("final page lacks %s", lbl)
+			}
+		}
+	}
 }
