@@ -2,11 +2,15 @@ package serve
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/netflow"
 	"repro/internal/scheme"
 )
@@ -108,4 +112,62 @@ func BenchmarkIngestDispatch(b *testing.B) {
 	// The deferred Shutdown (and its ~100ms ingest drain) runs before
 	// the framework stops the clock; keep it out of the figure.
 	b.StopTimer()
+}
+
+// benchElephants returns n distinct /24 prefixes in 10.0.0.0/8.
+func benchElephants(n int) []netip.Prefix {
+	out := make([]netip.Prefix, n)
+	for i := range out {
+		out[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	return out
+}
+
+// discardResponse is a reusable http.ResponseWriter that drops the
+// body, so a handler benchmark times the handler rather than a recorder.
+type discardResponse struct {
+	h http.Header
+	n int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) WriteHeader(int)             {}
+func (w *discardResponse) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkElephantsHandler times GET /links/{id}/elephants on a link
+// holding a hot-link-sized answer: 500 elephants out of 6.5k flows.
+// "miss" seals a new interval before every query, so each query
+// renders; "hit" queries the same interval every time.
+func BenchmarkElephantsHandler(b *testing.B) {
+	const flows, elephants = 6500, 500
+	res := core.Result{
+		Elephants:   core.NewElephantSet(benchElephants(elephants)...),
+		TotalLoad:   6.5e9,
+		ActiveFlows: flows,
+		Threshold:   2.5e6,
+	}
+	start := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
+	for _, bc := range []struct {
+		name string
+		seal bool
+	}{{"miss", true}, {"hit", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := newAPIDaemon()
+			ls := d.store.GetOrCreate("bench@0", 0)
+			ls.RecordResult(0, start, res, agg.StreamStats{})
+			req := httptest.NewRequest(http.MethodGet, "/links/bench@0/elephants", nil)
+			req.SetPathValue("id", "bench@0")
+			w := &discardResponse{h: make(http.Header)}
+			d.handleElephants(w, req)
+			b.SetBytes(int64(w.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.seal {
+					ls.RecordResult(i+1, start.Add(time.Duration(i+1)*time.Minute), res, agg.StreamStats{})
+				}
+				d.handleElephants(w, req)
+			}
+		})
+	}
 }

@@ -42,16 +42,36 @@ func (d *Daemon) handler() http.Handler {
 	return mux
 }
 
-// writeJSON renders one response; encoding errors after the header is
-// out are logged, not recoverable.
+// writeJSON renders one response.
 func (d *Daemon) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		d.cfg.Logf("serve: encoding response: %v", err)
+	body, err := renderJSON(v)
+	d.writeRendered(w, status, body, err)
+}
+
+// renderJSON is the API's one JSON rendering: two-space indent, one
+// trailing newline — byte for byte what a json.Encoder with
+// SetIndent("", "  ") writes, without its buffer copies.
+func renderJSON(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
 	}
+	return append(b, '\n'), nil
+}
+
+// writeRendered writes a body renderJSON produced. A value JSON cannot
+// encode (a non-finite float) is logged and answered with a 500.
+func (d *Daemon) writeRendered(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		d.cfg.Logf("serve: encoding response: %v", err)
+		status = http.StatusInternalServerError
+		body, _ = renderJSON(errorBody{Error: "encoding response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // errorBody is the uniform error response shape.
@@ -226,24 +246,16 @@ type Elephants struct {
 	Flows        []string  `json:"flows"`
 }
 
+// handleElephants serves the link's memoised answer (see
+// LinkState.ElephantsJSON): between two seals every query writes the
+// same bytes.
 func (d *Daemon) handleElephants(w http.ResponseWriter, r *http.Request) {
 	ls := d.linkState(w, r)
 	if ls == nil {
 		return
 	}
-	sum, set, ok := ls.Current()
-	resp := Elephants{Link: ls.ID(), Interval: -1, Flows: []string{}}
-	if ok {
-		resp.Interval = sum.Interval
-		resp.Start = sum.Start
-		resp.ThresholdBps = sum.ThresholdBps
-		resp.Count = set.Len()
-		resp.Flows = make([]string, 0, set.Len())
-		for _, p := range set.Flows() {
-			resp.Flows = append(resp.Flows, p.String())
-		}
-	}
-	d.writeJSON(w, http.StatusOK, resp)
+	body, err := ls.ElephantsJSON()
+	d.writeRendered(w, http.StatusOK, body, err)
 }
 
 // HistoryPage is the /links/{id}/history response body: up to ?n= (all

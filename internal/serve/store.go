@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -194,6 +195,12 @@ type LinkState struct {
 	last    IntervalSummary
 	hasLast bool
 	failed  string
+	// seq is the publish sequence: RecordResult bumps it with every
+	// closed interval, so it names the state /elephants renders.
+	seq uint64
+
+	// elephants memoises the rendered /elephants body for one seq.
+	elephants atomic.Pointer[elephantsBody]
 
 	// created and lastSeal are wall-clock instants — when the state was
 	// built and when the most recent interval sealed — backing the
@@ -248,6 +255,7 @@ func (ls *LinkState) RecordResult(t int, at time.Time, res core.Result, stats ag
 		Promoted:        promoted,
 		Demoted:         demoted,
 	}
+	ls.seq++
 	ls.current = res.Elephants
 	ls.last = sum
 	ls.hasLast = true
@@ -341,26 +349,110 @@ func (ls *LinkState) Current() (IntervalSummary, core.ElephantSet, bool) {
 
 // History returns up to n most recent interval summaries, oldest
 // first (n <= 0 means all retained). includeFlows attaches each
-// interval's elephant prefixes.
+// interval's elephant prefixes, formatted after the lock is released
+// (set storage is immutable) so a large history read never holds up
+// RecordResult.
 func (ls *LinkState) History(n int, includeFlows bool) []IntervalSummary {
 	ls.mu.RLock()
-	defer ls.mu.RUnlock()
 	if n <= 0 || n > ls.count {
 		n = ls.count
 	}
-	out := make([]IntervalSummary, 0, n)
-	for i := ls.count - n; i < ls.count; i++ {
-		// Oldest retained entry sits at next-count (mod capacity).
-		e := &ls.ring[(ls.next-ls.count+i+2*len(ls.ring))%len(ls.ring)]
-		sum := e.summary
+	out := make([]IntervalSummary, n)
+	var sets []core.ElephantSet
+	if includeFlows {
+		sets = make([]core.ElephantSet, n)
+	}
+	for i := range out {
+		// The newest entry sits just before next (mod capacity).
+		e := &ls.ring[(ls.next-n+i+len(ls.ring))%len(ls.ring)]
+		out[i] = e.summary
 		if includeFlows {
-			flows := e.set.Flows()
-			sum.Flows = make([]string, len(flows))
-			for j, p := range flows {
-				sum.Flows[j] = p.String()
-			}
+			sets[i] = e.set
 		}
-		out = append(out, sum)
+	}
+	ls.mu.RUnlock()
+	for i, set := range sets {
+		out[i].Flows = prefixStrings(set)
 	}
 	return out
+}
+
+// prefixStrings formats a set's members in set order, each exactly as
+// Prefix.String does. The texts are laid end to end in one string and
+// sliced out of it: two allocations for the whole set, not three per
+// prefix.
+func prefixStrings(set core.ElephantSet) []string {
+	flows := set.Flows()
+	out := make([]string, len(flows))
+	ends := make([]int, len(flows))
+	buf := make([]byte, 0, len("255.255.255.255/32")*len(flows))
+	for i, p := range flows {
+		if p.IsValid() {
+			buf = p.AppendTo(buf)
+		} else {
+			buf = append(buf, p.String()...)
+		}
+		ends[i] = len(buf)
+	}
+	all, from := string(buf), 0
+	for i, end := range ends {
+		out[i], from = all[from:end], end
+	}
+	return out
+}
+
+// elephantsBody is one rendered /links/{id}/elephants answer: the JSON
+// body for the link state at publish sequence seq. Immutable once
+// published.
+type elephantsBody struct {
+	seq  uint64
+	body []byte
+}
+
+// ElephantsJSON returns the /links/{id}/elephants body for the most
+// recent closed interval. The body is rendered at most once per
+// published interval: a query whose publish sequence matches the memo
+// gets the memoised bytes, and a miss renders the state it read under
+// the same lock as the sequence. Rendering is lazy — on the first query
+// after a seal, never in RecordResult — so a link nobody queries never
+// pays for it.
+func (ls *LinkState) ElephantsJSON() ([]byte, error) {
+	ls.mu.RLock()
+	seq := ls.seq
+	if m := ls.elephants.Load(); m != nil && m.seq == seq {
+		ls.mu.RUnlock()
+		return m.body, nil
+	}
+	sum, set, ok := ls.last, ls.current, ls.hasLast
+	ls.mu.RUnlock()
+
+	resp := Elephants{Link: ls.id, Interval: -1, Flows: []string{}}
+	if ok {
+		resp.Interval = sum.Interval
+		resp.Start = sum.Start
+		resp.ThresholdBps = sum.ThresholdBps
+		resp.Count = set.Len()
+		resp.Flows = prefixStrings(set)
+	}
+	body, err := renderJSON(resp)
+	if err != nil {
+		return nil, err
+	}
+	ls.publishElephants(&elephantsBody{seq: seq, body: body})
+	return body, nil
+}
+
+// publishElephants installs m as the memo unless a body for the same or
+// a newer sequence is already there: a slow render of an older interval
+// never replaces a newer one.
+func (ls *LinkState) publishElephants(m *elephantsBody) {
+	for {
+		old := ls.elephants.Load()
+		if old != nil && old.seq >= m.seq {
+			return
+		}
+		if ls.elephants.CompareAndSwap(old, m) {
+			return
+		}
+	}
 }
